@@ -53,6 +53,67 @@ expectSameResult(const SimResult &a, const SimResult &b,
         << label;
 }
 
+/**
+ * The activity counters recomputed outside the sim's kernels: the CPU
+ * oracle (NfaEngine) steps the stream, the enabled frontier is rebuilt
+ * from its previous active set, and the mapping's partitions and cross
+ * edges turn those sets into Fig. 9's activity figures. A change that
+ * shifted every kernel's counters the same way fails against this.
+ */
+SimResult
+referenceResult(const MappedAutomaton &m, const std::vector<uint8_t> &input,
+                const SimOptions &opts)
+{
+    const Nfa &nfa = m.nfa();
+    std::vector<uint8_t> cross(nfa.numStates(), 0);
+    for (const CrossEdge &e : m.crossEdges())
+        cross[e.from] |= e.viaG4 ? 2 : 1;
+
+    SimResult ref;
+    NfaEngine oracle(nfa);
+    oracle.reset();
+    std::vector<StateId> enabled;
+    for (StateId s = 0; s < nfa.numStates(); ++s)
+        if (nfa.state(s).start != StartType::None)
+            enabled.push_back(s);
+    for (size_t i = 0; i < input.size(); ++i) {
+        std::vector<uint32_t> parts;
+        for (StateId s : enabled)
+            parts.push_back(m.location(s).partition);
+        std::sort(parts.begin(), parts.end());
+        ref.totalActivePartitionCycles += static_cast<uint64_t>(
+            std::unique(parts.begin(), parts.end()) - parts.begin());
+        ref.totalEnabledStates += enabled.size();
+
+        oracle.step(input[i]);
+        const std::vector<StateId> &active = oracle.activeStates();
+        ref.totalActiveStates += active.size();
+        enabled.clear();
+        for (StateId s : active) {
+            ref.totalG1Crossings += cross[s] & 1;
+            ref.totalG4Crossings += (cross[s] >> 1) & 1;
+            const auto &out = nfa.state(s).out;
+            enabled.insert(enabled.end(), out.begin(), out.end());
+        }
+        for (StateId s = 0; s < nfa.numStates(); ++s)
+            if (nfa.state(s).start == StartType::AllInput)
+                enabled.push_back(s);
+        std::sort(enabled.begin(), enabled.end());
+        enabled.erase(std::unique(enabled.begin(), enabled.end()),
+                      enabled.end());
+    }
+    ref.symbols = input.size();
+    ref.cycles = ref.symbols == 0 ? 0 : ref.symbols + 2;
+    ref.reports = oracle.reports();
+    // §2.8: one cache-block refill per fifoRefillSymbols-aligned offset,
+    // one interrupt per full output buffer (the overshoot carries).
+    const uint64_t refill = static_cast<uint64_t>(opts.fifoRefillSymbols);
+    ref.fifoRefills = (ref.symbols + refill - 1) / refill;
+    ref.outputBufferInterrupts = ref.reports.size() /
+        static_cast<uint64_t>(std::max(opts.outputBufferDepth, 1));
+    return ref;
+}
+
 /** True when $CA_SIM_KERNEL pins every sim to one kernel (CI sweeps). */
 bool
 kernelPinnedByEnv()
@@ -109,11 +170,26 @@ TEST_P(KernelEquality, DenseAndAutoMatchSparseAndOracle)
     expectSameResult(de, sp, "dense vs sparse");
     expectSameResult(au, sp, "auto vs sparse");
 
-    NfaEngine oracle(m.nfa());
-    std::vector<Report> expect = oracle.run(input);
-    EXPECT_EQ(sp.reports, expect);
-    EXPECT_EQ(de.reports, expect);
-    EXPECT_FALSE(expect.empty());
+    SimResult ref = referenceResult(m, input, auto_opts);
+    expectSameResult(sp, ref, "sparse vs reference");
+    expectSameResult(de, ref, "dense vs reference");
+    expectSameResult(au, ref, "auto vs reference");
+    EXPECT_FALSE(ref.reports.empty());
+
+    // A shallow output buffer and an odd refill batch, so interrupts
+    // fire and refills fall mid-block on every kernel.
+    SimOptions small = auto_opts;
+    small.outputBufferDepth = 5;
+    small.fifoRefillSymbols = 48;
+    SimResult small_ref = referenceResult(m, input, small);
+    ASSERT_GT(small_ref.outputBufferInterrupts, 0u);
+    for (SimKernel k :
+         {SimKernel::Sparse, SimKernel::Dense, SimKernel::Auto}) {
+        small.kernel = k;
+        CacheAutomatonSim sim(m, small);
+        expectSameResult(sim.run(input), small_ref,
+                         std::string(kernelName(k)) + " (small buffers)");
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, KernelEquality,
