@@ -220,4 +220,14 @@ ctest --test-dir build-tsan -L score --output-on-failure -j "$JOBS"
 CA_SIM_KERNEL=dense ctest --test-dir build-tsan -L runtime \
     --output-on-failure -j "$JOBS"
 
+# AddressSanitizer + UndefinedBehaviorSanitizer over the whole suite:
+# the kernels are raw word arithmetic over flat tables, and the CANP
+# decoder, CAAF loader and CASN snapshots take hostile bytes, so an
+# out-of-bounds read or a UB shift must fail CI rather than pass by luck.
+echo "=== configure build-asan (ASan+UBSan, full suite) ==="
+cmake -B build-asan -S . -DCA_TELEMETRY=ON \
+    "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer"
+cmake --build build-asan -j "$JOBS"
+ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+
 echo "ci: all configurations passed"

@@ -1,737 +1,28 @@
 #include "match/match_engine.h"
 
-#include <algorithm>
-#include <bit>
-#include <deque>
-
 #include "core/error.h"
-#include "core/logging.h"
+#include "match/kernel_impl.h"
 
 namespace ca::match {
 
+template class FrontierKernel<NoAccounting>;
+
 namespace {
 
-/** Null-checks before the delegating ctor dereferences. */
-const MappedAutomaton &
-requireAutomaton(const std::shared_ptr<const MappedAutomaton> &mapped)
+/** Null-checks before the kernel binds the context. */
+const MatchContext &
+requireContext(const std::shared_ptr<const MatchContext> &ctx)
 {
-    CA_FATAL_IF(!mapped, "MatchContext: null mapped automaton");
-    return *mapped;
+    CA_FATAL_IF(!ctx, "MatchEngine: null context");
+    return *ctx;
 }
-
-/** Dense-kernel partition geometry (§2.2: 256 STEs per 8 KB array). */
-constexpr uint32_t kSlotsPerPartition = 256;
-constexpr uint32_t kWordsPerPartition = kSlotsPerPartition / 64;
 
 } // namespace
 
-MatchContext::MatchContext(std::shared_ptr<const MappedAutomaton> mapped)
-    : MatchContext(requireAutomaton(mapped))
-{
-    owned_ = std::move(mapped);
-}
-
-MatchContext::MatchContext(const MappedAutomaton &mapped) : mapped_(mapped)
-{
-    num_states_ = mapped.nfa().numStates();
-    buildSparseTables();
-    buildDenseTables();
-    buildFrontiers();
-}
-
-void
-MatchContext::buildSparseTables()
-{
-    const Nfa &nfa = mapped_.nfa();
-    labels_.resize(num_states_ * 4);
-    report_info_.resize(num_states_);
-    succ_xadj_.assign(num_states_ + 1, 0);
-    for (StateId s = 0; s < num_states_; ++s) {
-        const NfaState &st = nfa.state(s);
-        if (st.start == StartType::AllInput)
-            all_input_.push_back(s);
-        const auto &words = st.label.raw();
-        for (int w = 0; w < 4; ++w)
-            labels_[s * 4 + w] = words[w];
-        report_info_[s] =
-            (static_cast<uint64_t>(st.reportId) << 1) | (st.report ? 1 : 0);
-        succ_xadj_[s + 1] =
-            succ_xadj_[s] + static_cast<uint32_t>(st.out.size());
-    }
-    succ_.resize(succ_xadj_.back());
-    for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t base = succ_xadj_[s];
-        const auto &out = nfa.state(s).out;
-        for (size_t i = 0; i < out.size(); ++i)
-            succ_[base + i] = out[i];
-    }
-
-    scored_ = nfa.hasWeights();
-    if (scored_) {
-        succ_w_.assign(succ_.size(), 0);
-        start_w_.assign(num_states_, 0);
-        for (StateId s = 0; s < num_states_; ++s) {
-            uint32_t base = succ_xadj_[s];
-            const NfaState &st = nfa.state(s);
-            for (size_t i = 0; i < st.out.size(); ++i)
-                succ_w_[base + i] = nfa.edgeWeight(s, i);
-            start_w_[s] = st.startWeight;
-        }
-    }
-}
-
-void
-MatchContext::buildDenseTables()
-{
-    const uint32_t P = static_cast<uint32_t>(mapped_.numPartitions());
-    if (P == 0 || num_states_ == 0)
-        return;
-    for (StateId s = 0; s < num_states_; ++s) {
-        if (mapped_.location(s).slot >= kSlotsPerPartition) {
-            // Defensive: a non-standard design geometry falls back to
-            // the sparse kernel rather than corrupting masks.
-            CA_WARN("match dense kernel unavailable: state "
-                    << s << " at slot " << mapped_.location(s).slot
-                    << " exceeds " << kSlotsPerPartition);
-            return;
-        }
-    }
-    dense_partitions_ = P;
-    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
-
-    dense_index_of_.assign(num_states_, 0);
-    state_of_dense_.assign(static_cast<size_t>(P) * kSlotsPerPartition,
-                           kInvalidState);
-    for (StateId s = 0; s < num_states_; ++s) {
-        const SteLocation &loc = mapped_.location(s);
-        uint32_t di = loc.partition * kSlotsPerPartition + loc.slot;
-        dense_index_of_[s] = di;
-        state_of_dense_[di] = s;
-    }
-
-    // Row reads (§2.2), symbol-major so one symbol's step scans
-    // contiguous memory across partitions.
-    dense_rows_.assign(static_cast<size_t>(256) * words, 0);
-    for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t di = dense_index_of_[s];
-        uint32_t p = di / kSlotsPerPartition;
-        uint32_t slot = di % kSlotsPerPartition;
-        uint64_t slot_bit = uint64_t{1} << (slot & 63);
-        size_t slot_word = slot >> 6;
-        for (int w = 0; w < 4; ++w) {
-            uint64_t label = labels_[s * 4 + w];
-            while (label) {
-                int b = std::countr_zero(label);
-                uint32_t c = static_cast<uint32_t>(w * 64 + b);
-                dense_rows_[(static_cast<size_t>(c) * P + p) *
-                                kWordsPerPartition +
-                            slot_word] |= slot_bit;
-                label &= label - 1;
-            }
-        }
-    }
-
-    // L-switch crossbar rows and G-switch CSR.
-    dense_lswitch_.assign(state_of_dense_.size() * kWordsPerPartition, 0);
-    dense_cross_xadj_.assign(state_of_dense_.size() + 1, 0);
-    std::vector<uint32_t> partition_of(num_states_);
-    for (StateId s = 0; s < num_states_; ++s)
-        partition_of[s] = mapped_.location(s).partition;
-    for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t cross = 0;
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
-            if (partition_of[succ_[e]] != partition_of[s])
-                ++cross;
-        dense_cross_xadj_[dense_index_of_[s] + 1] = cross;
-    }
-    for (size_t i = 1; i < dense_cross_xadj_.size(); ++i)
-        dense_cross_xadj_[i] += dense_cross_xadj_[i - 1];
-    dense_cross_.resize(dense_cross_xadj_.back());
-    for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t di = dense_index_of_[s];
-        uint32_t fill = dense_cross_xadj_[di];
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-            StateId t = succ_[e];
-            uint32_t ti = dense_index_of_[t];
-            if (partition_of[t] == partition_of[s]) {
-                uint32_t slot = ti % kSlotsPerPartition;
-                dense_lswitch_[static_cast<size_t>(di) *
-                                   kWordsPerPartition +
-                               (slot >> 6)] |= uint64_t{1} << (slot & 63);
-            } else {
-                dense_cross_[fill++] = ti;
-            }
-        }
-    }
-
-    dense_report_.assign(words, 0);
-    for (StateId s = 0; s < num_states_; ++s) {
-        if (report_info_[s] & 1) {
-            uint32_t di = dense_index_of_[s];
-            dense_report_[di >> 6] |= uint64_t{1} << (di & 63);
-        }
-    }
-
-    std::vector<uint64_t> allinput(words, 0);
-    for (StateId s : all_input_) {
-        uint32_t di = dense_index_of_[s];
-        allinput[di >> 6] |= uint64_t{1} << (di & 63);
-    }
-    for (size_t w = 0; w < allinput.size(); ++w)
-        if (allinput[w])
-            dense_allinput_words_.emplace_back(static_cast<uint32_t>(w),
-                                               allinput[w]);
-
-    dense_available_ = true;
-}
-
-void
-MatchContext::buildFrontiers()
-{
-    const Nfa &nfa = mapped_.nfa();
-    for (StateId s = 0; s < num_states_; ++s)
-        if (nfa.state(s).start != StartType::None)
-            start_frontier_.push_back(s);
-
-    // reachableFrontier: AllInput starts plus everything reachable via
-    // >= 1 transition from any start state. For any offset t >= 1 the
-    // exact frontier is succ(active at t-1) ∪ allInput, and active
-    // states are reachable, so this set contains every frontier a
-    // stream can ever be in past offset 0. One BFS at build time.
-    BitVector in_set(num_states_ == 0 ? 1 : num_states_);
-    std::deque<StateId> queue;
-    auto add = [&](StateId s) {
-        if (!in_set.test(s)) {
-            in_set.set(s);
-            reachable_frontier_.push_back(s);
-            queue.push_back(s);
-        }
-    };
-    // Seed the BFS worklist with the starts themselves; a start enters
-    // the frontier set only via an in-edge (or by being AllInput).
-    BitVector visited(num_states_ == 0 ? 1 : num_states_);
-    for (StateId s : start_frontier_) {
-        visited.set(s);
-        queue.push_back(s);
-    }
-    for (StateId s : all_input_)
-        add(s);
-    while (!queue.empty()) {
-        StateId s = queue.front();
-        queue.pop_front();
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-            StateId t = succ_[e];
-            if (!in_set.test(t)) {
-                in_set.set(t);
-                reachable_frontier_.push_back(t);
-            }
-            if (!visited.test(t)) {
-                visited.set(t);
-                queue.push_back(t);
-            }
-        }
-    }
-    std::sort(reachable_frontier_.begin(), reachable_frontier_.end());
-}
-
 MatchEngine::MatchEngine(std::shared_ptr<const MatchContext> ctx,
                          const MatchOptions &opts)
-    : ctx_(std::move(ctx)), opts_(opts)
+    : ctx_(std::move(ctx)), kernel_(requireContext(ctx_), opts)
 {
-    CA_FATAL_IF(!ctx_, "MatchEngine: null context");
-    const size_t n = ctx_->numStates();
-    enabled_mask_ = BitVector(n == 0 ? 1 : n);
-    if (ctx_->denseAvailable()) {
-        const size_t bits = static_cast<size_t>(ctx_->dense_partitions_) *
-            kSlotsPerPartition;
-        dense_cur_ = BitVector(bits);
-        dense_nxt_ = BitVector(bits);
-        if (ctx_->scored()) {
-            dense_score_cur_.assign(bits, 0);
-            dense_score_nxt_.assign(bits, 0);
-            dense_score_epoch_.assign(bits, 0);
-        }
-    }
-    if (ctx_->scored()) {
-        score_cur_.assign(n, 0);
-        score_nxt_.assign(n, 0);
-    }
-    reset();
-}
-
-void
-MatchEngine::reset()
-{
-    if (!ctx_->scored()) {
-        setState(ctx_->startFrontier(), 0);
-        return;
-    }
-    // Scored automata start each state at its start weight.
-    std::vector<Score> scores;
-    scores.reserve(ctx_->startFrontier().size());
-    for (StateId s : ctx_->startFrontier())
-        scores.push_back(static_cast<Score>(ctx_->start_w_[s]));
-    setState(ctx_->startFrontier(), scores, 0);
-}
-
-void
-MatchEngine::setState(const std::vector<StateId> &frontier, uint64_t offset)
-{
-    setState(frontier, {}, offset);
-}
-
-void
-MatchEngine::setState(const std::vector<StateId> &frontier,
-                      const std::vector<Score> &scores, uint64_t offset)
-{
-    CA_FATAL_IF(!scores.empty() && scores.size() != frontier.size(),
-                "MatchEngine: " << frontier.size() << " frontier states "
-                                << "but " << scores.size() << " scores");
-    if (dense_active_) {
-        dense_cur_.clearAll();
-        dense_active_ = false;
-    }
-    const bool scored = ctx_->scored();
-    for (StateId s : enabled_)
-        enabled_mask_.resetUnchecked(s);
-    enabled_.clear();
-    for (size_t i = 0; i < frontier.size(); ++i) {
-        StateId s = frontier[i];
-        CA_FATAL_IF(s >= ctx_->numStates(),
-                    "MatchEngine: frontier state " << s
-                                                   << " outside automaton");
-        if (!enabled_mask_.testUnchecked(s)) {
-            enabled_mask_.setUnchecked(s);
-            enabled_.push_back(s);
-            if (scored)
-                score_cur_[s] = scores.empty() ? 0 : scores[i];
-        }
-    }
-    density_seeded_ = false;
-    offset_ = offset;
-    reports_.clear();
-    cycle_report_scratch_.clear();
-    cycle_report_scored_.clear();
-}
-
-std::vector<StateId>
-MatchEngine::frontier() const
-{
-    std::vector<StateId> out;
-    if (dense_active_) {
-        dense_cur_.forEachSet([&](size_t di) {
-            out.push_back(ctx_->state_of_dense_[di]);
-        });
-    } else {
-        out = enabled_;
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<Score>
-MatchEngine::frontierScores() const
-{
-    std::vector<Score> out;
-    if (!ctx_->scored())
-        return out;
-    std::vector<std::pair<StateId, Score>> pairs;
-    if (dense_active_) {
-        dense_cur_.forEachSet([&](size_t di) {
-            pairs.emplace_back(ctx_->state_of_dense_[di],
-                               dense_score_cur_[di]);
-        });
-    } else {
-        for (StateId s : enabled_)
-            pairs.emplace_back(s, score_cur_[s]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    out.reserve(pairs.size());
-    for (const auto &[s, score] : pairs) {
-        (void)s;
-        out.push_back(score);
-    }
-    return out;
-}
-
-size_t
-MatchEngine::frontierSize() const
-{
-    return dense_active_ ? dense_cur_.count() : enabled_.size();
-}
-
-std::vector<Report>
-MatchEngine::takeReports()
-{
-    std::vector<Report> out = std::move(reports_);
-    reports_.clear();
-    return out;
-}
-
-bool
-MatchEngine::chooseDense()
-{
-    SimKernel kernel = opts_.kernel;
-    if (kernel == SimKernel::Sparse || !ctx_->denseAvailable())
-        return false;
-    if (kernel == SimKernel::Dense)
-        return true;
-    // Auto: seed the EWMA from the current frontier density so an
-    // engine loaded with a hot frontier starts on the right kernel.
-    const size_t n = ctx_->numStates();
-    if (n == 0)
-        return false;
-    if (!density_seeded_) {
-        density_ewma_ = static_cast<double>(frontierSize()) /
-            static_cast<double>(n);
-        density_seeded_ = true;
-    }
-    return density_ewma_ > opts_.autoDensityThreshold;
-}
-
-void
-MatchEngine::syncDenseFromSparse()
-{
-    const bool scored = ctx_->scored();
-    dense_cur_.clearAll();
-    for (StateId s : enabled_) {
-        uint32_t di = ctx_->dense_index_of_[s];
-        dense_cur_.setUnchecked(di);
-        if (scored)
-            dense_score_cur_[di] = score_cur_[s];
-    }
-    dense_active_ = true;
-}
-
-void
-MatchEngine::syncSparseFromDense()
-{
-    const bool scored = ctx_->scored();
-    for (StateId s : enabled_)
-        enabled_mask_.resetUnchecked(s);
-    enabled_.clear();
-    dense_cur_.forEachSet([&](size_t di) {
-        StateId s = ctx_->state_of_dense_[di];
-        enabled_mask_.setUnchecked(s);
-        enabled_.push_back(s);
-        if (scored)
-            score_cur_[s] = dense_score_cur_[di];
-    });
-    dense_active_ = false;
-}
-
-void
-MatchEngine::emitCycleReports()
-{
-    if (cycle_report_scratch_.empty())
-        return;
-    // Canonical within-cycle order: ascending state id (shared with the
-    // CPU oracle, both sim kernels, and both match kernels).
-    std::sort(cycle_report_scratch_.begin(), cycle_report_scratch_.end());
-    for (StateId s : cycle_report_scratch_)
-        reports_.push_back(Report{
-            offset_, static_cast<uint32_t>(ctx_->report_info_[s] >> 1),
-            s});
-    cycle_report_scratch_.clear();
-}
-
-void
-MatchEngine::emitCycleReportsScored()
-{
-    if (cycle_report_scored_.empty())
-        return;
-    std::sort(cycle_report_scored_.begin(), cycle_report_scored_.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    for (const auto &[s, score] : cycle_report_scored_)
-        reports_.push_back(Report{
-            offset_, static_cast<uint32_t>(ctx_->report_info_[s] >> 1),
-            s, score});
-    cycle_report_scored_.clear();
-}
-
-void
-MatchEngine::feed(const uint8_t *data, size_t size)
-{
-    const bool auto_kernel = opts_.kernel == SimKernel::Auto;
-    const size_t n_states = ctx_->numStates();
-    size_t pos = 0;
-    while (pos < size) {
-        // A dead stream stays dead: with no enabled states and no
-        // always-on starts, no future symbol can fire anything. Jump to
-        // the end — this is what makes replaying past a died-out
-        // anchored ruleset nearly free.
-        if (frontierSize() == 0 && ctx_->all_input_.empty()) {
-            offset_ += size - pos;
-            return;
-        }
-
-        bool use_dense = chooseDense();
-        size_t block = size - pos;
-        if (auto_kernel && opts_.autoBlockSymbols > 0)
-            block = std::min(
-                block, static_cast<size_t>(opts_.autoBlockSymbols));
-
-        if (use_dense && !dense_active_)
-            syncDenseFromSparse();
-        else if (!use_dense && dense_active_)
-            syncSparseFromDense();
-
-        if (use_dense) {
-            feedDense(data + pos, block);
-            dense_symbols_ += block;
-        } else {
-            feedSparse(data + pos, block);
-            sparse_symbols_ += block;
-        }
-        pos += block;
-
-        if (auto_kernel && n_states > 0 && block > 0) {
-            double sample = static_cast<double>(frontierSize()) /
-                static_cast<double>(n_states);
-            density_ewma_ = opts_.autoEwmaAlpha * sample +
-                (1.0 - opts_.autoEwmaAlpha) * density_ewma_;
-        }
-    }
-}
-
-void
-MatchEngine::feedSparse(const uint8_t *data, size_t size)
-{
-    if (ctx_->scored())
-        feedSparseImpl<true>(data, size);
-    else
-        feedSparseImpl<false>(data, size);
-}
-
-template <bool Scored>
-void
-MatchEngine::feedSparseImpl(const uint8_t *data, size_t size)
-{
-    const MatchContext &cx = *ctx_;
-    const uint64_t *labels = cx.labels_.data();
-    const uint64_t *report_info = cx.report_info_.data();
-    const uint32_t *succ_xadj = cx.succ_xadj_.data();
-    const StateId *succ = cx.succ_.data();
-
-    for (size_t i = 0; i < size; ++i) {
-        uint8_t c = data[i];
-        const uint64_t label_bit = uint64_t{1} << (c & 63);
-        const size_t label_word = c >> 6;
-
-        active_scratch_.clear();
-        for (StateId s : enabled_) {
-            if (!(labels[s * 4 + label_word] & label_bit))
-                continue;
-            active_scratch_.push_back(s);
-            if (collect_ && (report_info[s] & 1)) {
-                if constexpr (Scored)
-                    cycle_report_scored_.emplace_back(s, score_cur_[s]);
-                else
-                    cycle_report_scratch_.push_back(s);
-            }
-        }
-        if constexpr (Scored)
-            emitCycleReportsScored();
-        else
-            emitCycleReports();
-
-        // Transition phase: clear only the bits set last cycle.
-        for (StateId s : enabled_)
-            enabled_mask_.resetUnchecked(s);
-        enabled_.clear();
-        for (StateId s : active_scratch_) {
-            uint32_t end = succ_xadj[s + 1];
-            for (uint32_t e = succ_xadj[s]; e < end; ++e) {
-                StateId t = succ[e];
-                if constexpr (Scored) {
-                    const Score cand = score_cur_[s] +
-                        static_cast<Score>(cx.succ_w_[e]);
-                    if (!enabled_mask_.testUnchecked(t)) {
-                        enabled_mask_.setUnchecked(t);
-                        enabled_.push_back(t);
-                        score_nxt_[t] = cand;
-                    } else {
-                        score_nxt_[t] = scoreCombine(
-                            opts_.semiring, score_nxt_[t], cand);
-                    }
-                } else {
-                    if (!enabled_mask_.testUnchecked(t)) {
-                        enabled_mask_.setUnchecked(t);
-                        enabled_.push_back(t);
-                    }
-                }
-            }
-        }
-        for (StateId s : cx.all_input_) {
-            if constexpr (Scored) {
-                const Score w = static_cast<Score>(cx.start_w_[s]);
-                if (!enabled_mask_.testUnchecked(s)) {
-                    enabled_mask_.setUnchecked(s);
-                    enabled_.push_back(s);
-                    score_nxt_[s] = w;
-                } else {
-                    score_nxt_[s] =
-                        scoreCombine(opts_.semiring, score_nxt_[s], w);
-                }
-            } else {
-                if (!enabled_mask_.testUnchecked(s)) {
-                    enabled_mask_.setUnchecked(s);
-                    enabled_.push_back(s);
-                }
-            }
-        }
-        if constexpr (Scored)
-            score_cur_.swap(score_nxt_);
-        ++offset_;
-    }
-}
-
-void
-MatchEngine::feedDense(const uint8_t *data, size_t size)
-{
-    if (ctx_->scored())
-        feedDenseImpl<true>(data, size);
-    else
-        feedDenseImpl<false>(data, size);
-}
-
-template <bool Scored>
-void
-MatchEngine::feedDenseImpl(const uint8_t *data, size_t size)
-{
-    const MatchContext &cx = *ctx_;
-    const uint32_t P = cx.dense_partitions_;
-    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
-    uint64_t *cur = dense_cur_.raw().data();
-    uint64_t *nxt = dense_nxt_.raw().data();
-    const uint64_t *rep_mask = cx.dense_report_.data();
-    const uint64_t *lswitch = cx.dense_lswitch_.data();
-    Score *scur = Scored ? dense_score_cur_.data() : nullptr;
-    Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
-
-    for (size_t i = 0; i < size; ++i) {
-        uint8_t c = data[i];
-        std::fill(nxt, nxt + words, 0);
-        [[maybe_unused]] uint64_t score_epoch = 0;
-        if constexpr (Scored)
-            score_epoch = ++dense_epoch_counter_;
-
-        const uint64_t *rows = &cx.dense_rows_[static_cast<size_t>(c) *
-                                               words];
-        for (uint32_t p = 0; p < P; ++p) {
-            const size_t base = static_cast<size_t>(p) *
-                kWordsPerPartition;
-            const uint64_t e0 = cur[base + 0];
-            const uint64_t e1 = cur[base + 1];
-            const uint64_t e2 = cur[base + 2];
-            const uint64_t e3 = cur[base + 3];
-            if (!(e0 | e1 | e2 | e3))
-                continue;
-            // The §2.2 row read: the SRAM row *is* the match vector.
-            uint64_t m[4] = {e0 & rows[base + 0], e1 & rows[base + 1],
-                             e2 & rows[base + 2], e3 & rows[base + 3]};
-            if (!(m[0] | m[1] | m[2] | m[3]))
-                continue;
-            for (int w = 0; w < 4; ++w) {
-                uint64_t mw = m[w];
-                if (!mw)
-                    continue;
-                if (collect_) {
-                    uint64_t rw = mw & rep_mask[base + w];
-                    while (rw) {
-                        int b = std::countr_zero(rw);
-                        uint32_t di = static_cast<uint32_t>(
-                            (base + static_cast<size_t>(w)) * 64 +
-                            static_cast<size_t>(b));
-                        if constexpr (Scored)
-                            cycle_report_scored_.emplace_back(
-                                cx.state_of_dense_[di], scur[di]);
-                        else
-                            cycle_report_scratch_.push_back(
-                                cx.state_of_dense_[di]);
-                        rw &= rw - 1;
-                    }
-                }
-                // Matched states drive their L-switch rows and their
-                // few G-switch wires.
-                while (mw) {
-                    int b = std::countr_zero(mw);
-                    uint32_t di = static_cast<uint32_t>(
-                        (base + static_cast<size_t>(w)) * 64 +
-                        static_cast<size_t>(b));
-                    const uint64_t *row = lswitch +
-                        static_cast<size_t>(di) * kWordsPerPartition;
-                    nxt[base + 0] |= row[0];
-                    nxt[base + 1] |= row[1];
-                    nxt[base + 2] |= row[2];
-                    nxt[base + 3] |= row[3];
-                    for (uint32_t e = cx.dense_cross_xadj_[di];
-                         e < cx.dense_cross_xadj_[di + 1]; ++e) {
-                        uint32_t ti = cx.dense_cross_[e];
-                        nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
-                    }
-                    if constexpr (Scored) {
-                        // Scalar score propagation via the successor
-                        // CSR; the epoch array discriminates first
-                        // write from ⊕-combine.
-                        const StateId s = cx.state_of_dense_[di];
-                        const Score from = scur[di];
-                        const uint32_t end = cx.succ_xadj_[s + 1];
-                        for (uint32_t e = cx.succ_xadj_[s]; e < end;
-                             ++e) {
-                            const uint32_t ti =
-                                cx.dense_index_of_[cx.succ_[e]];
-                            const Score cand = from +
-                                static_cast<Score>(cx.succ_w_[e]);
-                            if (dense_score_epoch_[ti] != score_epoch) {
-                                dense_score_epoch_[ti] = score_epoch;
-                                snxt[ti] = cand;
-                            } else {
-                                snxt[ti] = scoreCombine(
-                                    opts_.semiring, snxt[ti], cand);
-                            }
-                        }
-                    }
-                    mw &= mw - 1;
-                }
-            }
-        }
-        if constexpr (Scored)
-            emitCycleReportsScored();
-        else
-            emitCycleReports();
-
-        for (const auto &[w, mask] : cx.dense_allinput_words_)
-            nxt[w] |= mask;
-        if constexpr (Scored) {
-            for (StateId s : cx.all_input_) {
-                const uint32_t ti = cx.dense_index_of_[s];
-                const Score w = static_cast<Score>(cx.start_w_[s]);
-                if (dense_score_epoch_[ti] != score_epoch) {
-                    dense_score_epoch_[ti] = score_epoch;
-                    snxt[ti] = w;
-                } else {
-                    snxt[ti] =
-                        scoreCombine(opts_.semiring, snxt[ti], w);
-                }
-            }
-        }
-
-        std::swap(cur, nxt);
-        if constexpr (Scored)
-            std::swap(scur, snxt);
-        ++offset_;
-    }
-    // An odd symbol count leaves the live frontier in dense_nxt_'s
-    // storage; swap the vectors so dense_cur_ owns it again.
-    if (cur != dense_cur_.raw().data())
-        std::swap(dense_cur_, dense_nxt_);
-    if constexpr (Scored) {
-        if (scur != dense_score_cur_.data())
-            dense_score_cur_.swap(dense_score_nxt_);
-    }
 }
 
 } // namespace ca::match

@@ -3,8 +3,8 @@
  * Functional match engine (docs/MATCH.md).
  *
  * The serving-path counterpart of the cycle-accurate simulator: the same
- * frontier semantics and the same bit-identical report stream, with none
- * of the architecture model (no FIFO-refill accounting, no output-buffer
+ * kernel (match/kernel.h) under the no-op accounting policy, so none of
+ * the architecture model (no FIFO-refill accounting, no output-buffer
  * interrupts, no per-cycle activity counters feeding the energy model).
  * `CacheAutomatonSim` answers "what would the hardware do, cycle by
  * cycle"; `MatchEngine` answers "which reports fire, as fast as this CPU
@@ -23,128 +23,12 @@
 #include <memory>
 #include <vector>
 
-#include "baseline/nfa_engine.h"
-#include "compiler/mapping.h"
-#include "core/bitvector.h"
-#include "sim/engine.h"
+#include "match/kernel.h"
 
 namespace ca::match {
 
-/** Engine controls (a functional subset of SimOptions). */
-struct MatchOptions
-{
-    /** Per-symbol stepper; Auto re-decides per block on frontier density. */
-    SimKernel kernel = SimKernel::Auto;
-    /** Auto: dense while the density EWMA exceeds this (see SimOptions). */
-    double autoDensityThreshold = 0.02;
-    /** Auto: EWMA smoothing factor for per-block density samples. */
-    double autoEwmaAlpha = 0.25;
-    /** Auto: symbols per block between kernel re-evaluations. */
-    uint32_t autoBlockSymbols = 4096;
-    /** ⊕ for weighted automata (ignored for unweighted ones). */
-    ScoreSemiring semiring = ScoreSemiring::MaxPlus;
-};
-
-/**
- * Immutable per-automaton tables shared by every MatchEngine bound to
- * the same mapped automaton. Construction flattens the NFA exactly the
- * way CacheAutomatonSim does (same layouts, same dense geometry) and
- * additionally precomputes the two frontier sets the speculative
- * chunk-parallel matcher needs:
- *
- *  - startFrontier(): the exact offset-0 frontier (StartOfData and
- *    AllInput start states).
- *  - reachableFrontier(): AllInput starts plus every state reachable
- *    through at least one transition from any start state — a superset
- *    of the true enabled frontier at *every* offset >= 1. Speculative
- *    chunks seed from this overapproximation (the SFA construction's
- *    "all candidate states" set, restricted to what is reachable at
- *    all) and converge toward the exact frontier over a warm-up window.
- *
- * Thread-safe by immutability: after the constructor returns, the
- * context is never written again.
- */
-class MatchContext
-{
-  public:
-    explicit MatchContext(const MappedAutomaton &mapped);
-
-    /**
-     * Co-owning variant for automata loaded from disk.
-     * @throws CaError when @p mapped is null.
-     */
-    explicit MatchContext(std::shared_ptr<const MappedAutomaton> mapped);
-
-    size_t numStates() const { return num_states_; }
-    uint32_t numPartitions() const { return dense_partitions_; }
-
-    /** False when the mapping's geometry rules out the dense kernel. */
-    bool denseAvailable() const { return dense_available_; }
-
-    /** True when the bound automaton carries transition weights. */
-    bool scored() const { return scored_; }
-
-    const std::vector<StateId> &startFrontier() const
-    {
-        return start_frontier_;
-    }
-    const std::vector<StateId> &reachableFrontier() const
-    {
-        return reachable_frontier_;
-    }
-
-    const MappedAutomaton &mapped() const { return mapped_; }
-
-  private:
-    friend class MatchEngine;
-
-    void buildSparseTables();
-    void buildDenseTables();
-    void buildFrontiers();
-
-    /** Keeps a loaded automaton alive; null when bound by reference. */
-    std::shared_ptr<const MappedAutomaton> owned_;
-    const MappedAutomaton &mapped_;
-    size_t num_states_ = 0;
-
-    // Sparse tables (layouts shared with CacheAutomatonSim).
-    std::vector<StateId> all_input_;
-    /** Flat 4-word label images: labels_[s*4 + w]. */
-    std::vector<uint64_t> labels_;
-    /** CSR successor lists. */
-    std::vector<uint32_t> succ_xadj_;
-    std::vector<StateId> succ_;
-    /** Report flag + id packed: (id << 1) | report. */
-    std::vector<uint64_t> report_info_;
-
-    // Scoring tables (built only for weighted automata).
-    bool scored_ = false;
-    /** Per-edge weights, CSR-parallel to succ_. */
-    std::vector<Weight> succ_w_;
-    /** Per-state start weights. */
-    std::vector<Weight> start_w_;
-
-    // Dense tables (§2.2 geometry: 4 words = 256 bits per partition).
-    bool dense_available_ = false;
-    uint32_t dense_partitions_ = 0;
-    std::vector<uint32_t> dense_index_of_;
-    std::vector<StateId> state_of_dense_;
-    /** Symbol-major row reads: rows_[((c*P)+p)*4 + w]. */
-    std::vector<uint64_t> dense_rows_;
-    /** L-switch: per-state intra-partition successor masks. */
-    std::vector<uint64_t> dense_lswitch_;
-    /** G-switch: CSR of cross-partition successor dense indices. */
-    std::vector<uint32_t> dense_cross_xadj_;
-    std::vector<uint32_t> dense_cross_;
-    /** Per-partition reporting mask (p*4+w). */
-    std::vector<uint64_t> dense_report_;
-    /** Non-zero words of the all-input start mask, OR-ed in each cycle. */
-    std::vector<std::pair<uint32_t, uint64_t>> dense_allinput_words_;
-
-    // Precomputed frontier sets (sorted, deduplicated).
-    std::vector<StateId> start_frontier_;
-    std::vector<StateId> reachable_frontier_;
-};
+/** Instantiated once, in match_engine.cpp. */
+extern template class FrontierKernel<NoAccounting>;
 
 /**
  * One stream's worth of mutable match state over a shared MatchContext.
@@ -163,103 +47,70 @@ class MatchEngine
                          const MatchOptions &opts = {});
 
     /** Rewinds to offset 0 with the exact start frontier. */
-    void reset();
+    void reset() { kernel_.reset(); }
 
     /**
      * Loads an arbitrary frontier at an arbitrary offset (the chunk-
      * parallel join's primitive; also the checkpoint-restore path).
      * Clears pending reports. @p frontier need not be sorted; duplicate
-     * and out-of-range entries are rejected.
+     * entries are dropped and out-of-range ones rejected.
      */
-    void setState(const std::vector<StateId> &frontier, uint64_t offset);
+    void
+    setState(const std::vector<StateId> &frontier, uint64_t offset)
+    {
+        kernel_.setState(frontier, {}, offset);
+    }
 
     /**
      * setState with per-state accumulated scores, parallel to
      * @p frontier (the scored checkpoint-restore path). An empty
      * @p scores means all-zero; otherwise sizes must match.
      */
-    void setState(const std::vector<StateId> &frontier,
-                  const std::vector<Score> &scores, uint64_t offset);
+    void
+    setState(const std::vector<StateId> &frontier,
+             const std::vector<Score> &scores, uint64_t offset)
+    {
+        kernel_.setState(frontier, scores, offset);
+    }
 
     /** Consumes one chunk of the stream; callable repeatedly. */
-    void feed(const uint8_t *data, size_t size);
+    void feed(const uint8_t *data, size_t size) { kernel_.feed(data, size); }
 
     /** Moves out the reports accumulated since the last setState/take. */
-    std::vector<Report> takeReports();
+    std::vector<Report> takeReports() { return kernel_.takeReports(); }
 
     /**
      * Report collection toggle: speculative warm-up runs with
      * collection off (those symbols' reports belong to the previous
      * chunk's exact pass), then flips it on for the chunk body.
      */
-    void setCollectReports(bool on) { collect_ = on; }
+    void setCollectReports(bool on) { kernel_.setCollectReports(on); }
 
     /** The live enabled frontier, sorted ascending. */
-    std::vector<StateId> frontier() const;
+    std::vector<StateId> frontier() const { return kernel_.frontier(); }
 
     /**
      * Per-state scores parallel to frontier()'s order. Empty for
      * unweighted automata.
      */
-    std::vector<Score> frontierScores() const;
+    std::vector<Score>
+    frontierScores() const
+    {
+        return kernel_.frontierScores();
+    }
 
     /** Absolute stream position: the offset the next symbol gets. */
-    uint64_t streamOffset() const { return offset_; }
+    uint64_t streamOffset() const { return kernel_.offset(); }
 
     /** Kernel accounting (tests + bench introspection). */
-    uint64_t sparseSymbols() const { return sparse_symbols_; }
-    uint64_t denseSymbols() const { return dense_symbols_; }
+    uint64_t sparseSymbols() const { return kernel_.sparseSymbols(); }
+    uint64_t denseSymbols() const { return kernel_.denseSymbols(); }
 
     const MatchContext &context() const { return *ctx_; }
 
   private:
-    /** Steppers, instantiated scored/unscored at compile time (the
-        Scored=false bodies are the exact unweighted kernels). */
-    template <bool Scored>
-    void feedSparseImpl(const uint8_t *data, size_t size);
-    template <bool Scored>
-    void feedDenseImpl(const uint8_t *data, size_t size);
-    void feedSparse(const uint8_t *data, size_t size);
-    void feedDense(const uint8_t *data, size_t size);
-    void emitCycleReports();
-    void emitCycleReportsScored();
-    bool chooseDense();
-    void syncDenseFromSparse();
-    void syncSparseFromDense();
-    size_t frontierSize() const;
-
     std::shared_ptr<const MatchContext> ctx_;
-    MatchOptions opts_;
-    bool collect_ = true;
-
-    // Sparse frontier representation.
-    std::vector<StateId> enabled_;
-    BitVector enabled_mask_;
-    std::vector<StateId> active_scratch_;
-    std::vector<StateId> cycle_report_scratch_;
-    std::vector<std::pair<StateId, Score>> cycle_report_scored_;
-
-    // Dense frontier representation.
-    BitVector dense_cur_;
-    BitVector dense_nxt_;
-    bool dense_active_ = false;
-
-    // Scored-frontier state (allocated only for weighted automata).
-    std::vector<Score> score_cur_;
-    std::vector<Score> score_nxt_;
-    std::vector<Score> dense_score_cur_;
-    std::vector<Score> dense_score_nxt_;
-    std::vector<uint64_t> dense_score_epoch_;
-    uint64_t dense_epoch_counter_ = 0;
-
-    // Auto-kernel state.
-    double density_ewma_ = 0.0;
-    bool density_seeded_ = false;
-
-    uint64_t offset_ = 0;
-    uint64_t sparse_symbols_ = 0;
-    uint64_t dense_symbols_ = 0;
-    std::vector<Report> reports_;
+    FrontierKernel<NoAccounting> kernel_;
 };
 
 } // namespace ca::match

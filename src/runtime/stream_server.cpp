@@ -75,14 +75,9 @@ StreamServer::StreamServer(const MappedAutomaton &mapped,
     if (opts_.matchParallelism > 1 && !scored) {
         match::ParallelOptions popts;
         popts.degree = opts_.matchParallelism;
-        // The functional engines honor the same kernel choice (and the
+        // The functional engines honor the same kernel options (and the
         // same $CA_SIM_KERNEL override) as the per-worker simulators.
-        popts.engine.kernel = opts_.sim.kernel;
-        if (std::optional<SimKernel> k = simKernelEnvOverride())
-            popts.engine.kernel = *k;
-        popts.engine.autoDensityThreshold = opts_.sim.autoDensityThreshold;
-        popts.engine.autoEwmaAlpha = opts_.sim.autoEwmaAlpha;
-        popts.engine.autoBlockSymbols = opts_.sim.autoBlockSymbols;
+        popts.engine = match::withSimKernelOverride(opts_.sim);
         match_ctx_ = std::make_shared<match::MatchContext>(mapped_);
         matcher_ = std::make_unique<match::ParallelMatcher>(match_ctx_,
                                                             popts);
@@ -126,6 +121,15 @@ StreamServer::open(ReportSink &sink)
 StreamSession &
 StreamServer::open(ReportSink &sink, const SimCheckpoint &resume_from)
 {
+    // Validate here, on the caller's thread: a worker restoring a bad
+    // checkpoint would throw where nothing can catch it.
+    CA_FATAL_IF(!resume_from.enabledScores.empty() &&
+                    resume_from.enabledScores.size() !=
+                        resume_from.enabledStates.size(),
+                "resume checkpoint has " << resume_from.enabledStates.size()
+                                         << " states but "
+                                         << resume_from.enabledScores.size()
+                                         << " scores");
     for (StateId s : resume_from.enabledStates)
         CA_FATAL_IF(s >= mapped_.nfa().numStates(),
                     "resume checkpoint references state "

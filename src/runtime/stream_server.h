@@ -151,6 +151,9 @@ class StreamServer
      * the first slice restore()s @p resume_from instead of resetting,
      * so report offsets continue the original stream's numbering. The
      * checkpoint must come from the same mapped automaton.
+     * @throws CaError when @p resume_from names a state outside the
+     *         automaton or carries a score count other than its state
+     *         count.
      */
     StreamSession &open(ReportSink &sink,
                         const SimCheckpoint &resume_from);

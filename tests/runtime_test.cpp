@@ -310,6 +310,28 @@ TEST(StreamServer, ResumeCheckpointValidated)
     EXPECT_THROW(server.open(sink, bogus), CaError);
 }
 
+// Regression: a resume checkpoint whose score count differs from its
+// state count used to pass open() and throw later inside the worker
+// thread that restored it, which terminated the process. It must be
+// refused at open(), and the server must go on serving.
+TEST(StreamServer, ResumeCheckpointScoreCountValidated)
+{
+    MappedAutomaton m = sampleMapped();
+    StreamServer server(m);
+    CountingSink bad_sink;
+    SimCheckpoint bad;
+    bad.enabledStates = {0, 1};
+    bad.enabledScores = {7};
+    EXPECT_THROW(server.open(bad_sink, bad), CaError);
+
+    auto input = sampleInput(8 << 10, 41);
+    CollectingSink sink;
+    StreamSession &s = server.open(sink);
+    s.submit(input);
+    s.close();
+    EXPECT_EQ(sink.reports(s.id()), oracleReports(m, input));
+}
+
 /**
  * Satellite regression: a SimCheckpoint taken mid-chunk on one thread
  * and restored on a different thread continues the stream exactly (the
