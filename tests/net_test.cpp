@@ -916,6 +916,10 @@ TEST(NetE2E, StatsPollMidLoadSeesMonotoneCounters)
     MatchClient client;
     client.connect("127.0.0.1", server.port());
     uint32_t id = client.openStream();
+    // openStream() does not wait for the server, and the watcher polls
+    // on another connection: round-trip once so the session exists
+    // before the first poll looks for it.
+    client.flush(id);
 
     uint64_t prev_symbols = 0, prev_bytes_in = 0, prev_frames_in = 0;
     constexpr size_t kChunk = 2048;
