@@ -244,8 +244,7 @@ compileRuleset(const std::vector<std::string> &patterns,
         opts.reportId = static_cast<uint32_t>(i);
         opts.maxPositions = max_positions;
         opts.caseInsensitive = case_insensitive;
-        Nfa fragment = buildGlushkov(pat, opts);
-        combined.merge(fragment);
+        combined.merge(buildGlushkov(pat, opts));
     }
     CA_COUNTER_ADD("ca.nfa.rulesets_compiled", 1);
     CA_COUNTER_ADD("ca.nfa.patterns_compiled", patterns.size());

@@ -221,15 +221,13 @@ Nfa::validate() const
 }
 
 StateId
-Nfa::merge(const Nfa &other)
+Nfa::merge(Nfa other)
 {
     StateId offset = static_cast<StateId>(states_.size());
-    states_.reserve(states_.size() + other.states_.size());
-    for (const auto &s : other.states_) {
-        NfaState copy = s;
-        for (auto &t : copy.out)
+    for (auto &s : other.states_) {
+        for (auto &t : s.out)
             t += offset;
-        states_.push_back(std::move(copy));
+        states_.push_back(std::move(s));
     }
     reverse_valid_ = false;
     return offset;

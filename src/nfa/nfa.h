@@ -157,10 +157,15 @@ class Nfa
     void validate() const;
 
     /**
-     * Appends a disjoint copy of @p other, remapping its state ids.
+     * Appends @p other as a disjoint component, remapping its state ids.
+     *
+     * A sink: @p other's states are moved in, so pass a temporary or
+     * std::move() it (an lvalue argument is copied first and left intact).
+     * States grow geometrically, so the call costs amortized O(|other|)
+     * and building an automaton by n merges is linear in its total size.
      * @return the id offset added to @p other's states.
      */
-    StateId merge(const Nfa &other);
+    StateId merge(Nfa other);
 
     /**
      * Returns a copy containing only @p keep (order preserved), with edges

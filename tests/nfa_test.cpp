@@ -4,6 +4,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/error.h"
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
@@ -23,6 +29,51 @@ chain(int n, bool report_last = true)
     for (int i = 0; i + 1 < n; ++i)
         nfa.addTransition(i, i + 1);
     return nfa;
+}
+
+/** Field-by-field equality of two automata's states. */
+void
+expectSameStates(const std::vector<NfaState> &x,
+                 const std::vector<NfaState> &y)
+{
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+        SCOPED_TRACE("state " + std::to_string(i));
+        EXPECT_EQ(x[i].label, y[i].label);
+        EXPECT_EQ(x[i].start, y[i].start);
+        EXPECT_EQ(x[i].report, y[i].report);
+        EXPECT_EQ(x[i].reportId, y[i].reportId);
+        EXPECT_EQ(x[i].name, y[i].name);
+        EXPECT_EQ(x[i].out, y[i].out);
+        EXPECT_EQ(x[i].outWeight, y[i].outWeight);
+        EXPECT_EQ(x[i].startWeight, y[i].startWeight);
+    }
+}
+
+/**
+ * Appends rule fragment @p k (1-4 states, ids relative to the current
+ * end of @p into) with every per-state field set: start type, start
+ * weight, name, report id, and edge weights, some of them zero.
+ */
+void
+addFragment(Nfa &into, uint32_t k)
+{
+    const StateId base = static_cast<StateId>(into.numStates());
+    const uint32_t n = 1 + k % 4;
+    for (uint32_t j = 0; j < n; ++j) {
+        StartType start = StartType::None;
+        if (j == 0)
+            start = k % 3 == 0 ? StartType::StartOfData : StartType::AllInput;
+        into.addState(SymbolSet::of(static_cast<uint8_t>('a' + (k + j) % 26)),
+                      start, j + 1 == n, j + 1 == n ? k : 0,
+                      j == 0 ? "r" + std::to_string(k) : std::string{});
+    }
+    into.state(base).startWeight = static_cast<Weight>(k % 5);
+    for (uint32_t j = 0; j + 1 < n; ++j)
+        into.addTransition(base + j, base + j + 1,
+                           static_cast<Weight>((k + j) % 3));
+    if (k % 2)
+        into.addTransition(base + n - 1, base + n - 1);
 }
 
 TEST(Nfa, AddStateAndTransition)
@@ -127,14 +178,79 @@ TEST(Nfa, ValidateRejectsDuplicateEdges)
 TEST(Nfa, MergeRemapsIds)
 {
     Nfa a = chain(3);
-    Nfa b = chain(2);
-    StateId offset = a.merge(b);
+    // Build the reverse cache so the merge has to invalidate it.
+    EXPECT_EQ(a.predecessors(2), std::vector<StateId>{1});
+    Nfa b;
+    b.addState(SymbolSet::of('x'), StartType::StartOfData, false, 0, "head");
+    b.addState(SymbolSet::of('y'), StartType::None, true, 42, "tail");
+    b.state(0).startWeight = 7;
+    b.addTransition(0, 1, -3);
+    StateId offset = a.merge(std::move(b));
     EXPECT_EQ(offset, 3u);
     EXPECT_EQ(a.numStates(), 5u);
     EXPECT_EQ(a.numTransitions(), 3u);
-    // b's edge 0->1 became 3->4.
-    EXPECT_EQ(a.state(3).out.at(0), 4u);
+    // b's edge 0->1 became 3->4 and kept its weight.
+    const NfaState &head = a.state(3);
+    EXPECT_EQ(head.out, std::vector<StateId>{4});
+    EXPECT_EQ(head.outWeight, std::vector<Weight>{-3});
+    EXPECT_EQ(a.edgeWeight(3, 0), -3);
+    EXPECT_EQ(head.start, StartType::StartOfData);
+    EXPECT_EQ(head.startWeight, 7);
+    EXPECT_EQ(head.name, "head");
+    EXPECT_FALSE(head.report);
+    const NfaState &tail = a.state(4);
+    EXPECT_EQ(tail.label, SymbolSet::of('y'));
+    EXPECT_EQ(tail.start, StartType::None);
+    EXPECT_TRUE(tail.report);
+    EXPECT_EQ(tail.reportId, 42u);
+    EXPECT_EQ(tail.name, "tail");
+    EXPECT_TRUE(tail.out.empty());
+    EXPECT_TRUE(a.hasWeights());
+    // The predecessor lists see the merged edge.
+    EXPECT_EQ(a.predecessors(4), std::vector<StateId>{3});
+    EXPECT_TRUE(a.predecessors(3).empty());
+    EXPECT_EQ(a.predecessors(2), std::vector<StateId>{1});
     EXPECT_NO_THROW(a.validate());
+}
+
+TEST(Nfa, MergeOfLvalueLeavesArgumentIntact)
+{
+    Nfa a = chain(2);
+    Nfa b = chain(3);
+    b.state(0).name = "b0";
+    b.addTransition(2, 2, 5);
+    const std::vector<NfaState> before = b.states();
+    EXPECT_EQ(a.merge(b), 2u);
+    expectSameStates(b.states(), before);
+    // The copy in a is remapped; b's own ids are not.
+    EXPECT_EQ(a.numStates(), 5u);
+    EXPECT_EQ(a.state(2).name, "b0");
+    EXPECT_EQ(a.state(2).out, std::vector<StateId>{3});
+    EXPECT_EQ(a.state(4).out, std::vector<StateId>{4});
+    EXPECT_EQ(a.state(4).outWeight, std::vector<Weight>{5});
+    EXPECT_EQ(b.state(0).out, std::vector<StateId>{1});
+}
+
+// Structural, not timed: n merges must reallocate the state vector only
+// O(log n) times (geometric growth), so compiling a ruleset stays linear.
+// An exact-size reserve per merge shows one distinct capacity per merge.
+TEST(Nfa, MergeGrowsGeometrically)
+{
+    constexpr uint32_t kMerges = 2585; // Snort's rule count
+    Nfa merged;
+    Nfa direct;
+    std::set<size_t> capacities;
+    for (uint32_t k = 0; k < kMerges; ++k) {
+        Nfa fragment;
+        addFragment(fragment, k);
+        merged.merge(std::move(fragment));
+        capacities.insert(merged.states().capacity());
+        addFragment(direct, k);
+    }
+    const size_t ceil_log2 = std::bit_width(kMerges - 1);
+    EXPECT_LE(capacities.size(), 2 * ceil_log2 + 4);
+    expectSameStates(merged.states(), direct.states());
+    EXPECT_NO_THROW(merged.validate());
 }
 
 TEST(Nfa, SubAutomatonCompactsAndFilters)
