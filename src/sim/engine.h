@@ -53,8 +53,6 @@ struct SimOptions : match::MatchOptions
     bool collectReports = true;
     /** Record a per-cycle activity trace (costly; for tests/ablations). */
     bool recordTrace = false;
-    /** Input FIFO depth (§2.8). */
-    int fifoDepth = 128;
     /** Symbols refilled per cache-block fetch into the FIFO. */
     int fifoRefillSymbols = 64;
     /** Output buffer entries before an interrupt fires (§2.8). */
