@@ -97,6 +97,12 @@ CA_SIM_KERNEL=dense ctest --test-dir build -L sim --output-on-failure \
 # loopback peer pull into a cold cache plus the warm-hit path.
 ./build/bench/bench_cluster_replication --smoke >/dev/null
 
+# The benchmark's output checks (perfbench/README.md): builds the runner
+# into .bench_build/perfbench and shows that the NfaEngine oracle, the
+# planted witnesses and bioAlignWitness each reject a corrupted report.
+echo "=== perfbench output-check selftest ==="
+python3 perfbench/run.py --selftest
+
 # End-to-end scrape smoke: a real ca_server with the stats endpoint and
 # a real ca_top against the in-band STATS protocol. The scrape uses
 # bash's /dev/tcp so CI needs no curl/netcat.
